@@ -785,7 +785,7 @@ def _cmd_stats_sharded(args) -> int:
     """Metrics snapshot of a sharded deployment: per-shard breakdown.
 
     Sample queries run through the scatter-gather gateway, so the
-    snapshot carries the ``repro_sharded_*`` serving counters plus the
+    snapshot carries the ``repro_serving_*`` serving counters plus the
     per-shard ``repro_shard_epoch_id`` / ``repro_shard_videos`` gauges;
     index-level gauges get a ``repro_shard_wal_seq{shard=...}`` family
     on top.

@@ -188,31 +188,6 @@ class ChaosSchedule:
         return slow, abort
 
 
-def _membership_probe(gateway):
-    """A ``(user, video) -> already-a-member?`` probe over *gateway*.
-
-    The spam guard uses it to avoid recording no-op applications as
-    revocable: un-applying a comment whose user was already in the
-    video's descriptor would remove a membership the spammer never
-    added.  Descriptors replicate to every shard, so shard 0 answers
-    for a sharded gateway.  Advisory — a stale read only widens or
-    narrows the revocation set, never corrupts state.
-    """
-    index = getattr(gateway, "_master", None)
-    if index is None:
-        sharded = getattr(gateway, "sharded", None)
-        if sharded is None:
-            return None
-        index = sharded.shards[0]
-    store = index.social_store
-
-    def probe(user: str, video: str) -> bool:
-        descriptor = store.descriptors.get(video)
-        return descriptor is not None and user in descriptor.users
-
-    return probe
-
-
 def _header(headers, name: str):
     """Case-tolerant header lookup (email.Message or a plain dict)."""
     value = headers.get(name)
@@ -228,8 +203,10 @@ class RecommendService:
     """Transport-independent request handling over a serving gateway.
 
     *gateway* is a :class:`~repro.serving.gateway.ServingGateway` or
-    :class:`~repro.sharding.gateway.ShardedGateway` (duck-typed: both
-    expose ``recommend`` / ``apply_comments`` and an epoch identity).
+    :class:`~repro.sharding.gateway.ShardedGateway`; both fronts share
+    one interface (:class:`~repro.serving.gateway.GatewayCore`): the
+    view's ``epoch_key``, ``has_video`` / ``video_ids``, ``is_member``
+    for the spam guard, and results annotated with ``epoch_key``.
     *interactions* is the durable log; any records already on disk are
     replayed into the gateway **before** serving starts, so a restarted
     server's rankings reflect every interaction it ever acknowledged.
@@ -271,7 +248,7 @@ class RecommendService:
             self.guard = SpamGuard(
                 defense,
                 wal_path=quarantine_path,
-                membership=_membership_probe(gateway),
+                membership=gateway.is_member,
             )
         replayed = read_interactions(interactions.path)
         to_apply = [r for r in replayed if r["seq"] not in withheld]
@@ -291,17 +268,7 @@ class RecommendService:
     # Epoch / applied_seq bookkeeping
     # ------------------------------------------------------------------
     def _current_epoch_key(self):
-        epochs = getattr(self.gateway, "current_epochs", None)
-        if epochs is not None:
-            return tuple(epoch.epoch_id for epoch in epochs)
-        return self.gateway.current_epoch.epoch_id
-
-    @staticmethod
-    def _result_epoch_key(result):
-        epoch_ids = getattr(result, "epoch_ids", None)
-        if epoch_ids is not None:
-            return tuple(epoch_ids)
-        return result.epoch_id
+        return self.gateway.epoch_key
 
     def _record_epoch_seq(self) -> None:
         key = self._current_epoch_key()
@@ -331,21 +298,6 @@ class RecommendService:
         """Refuse new work (503, readyz red); in-flight requests finish."""
         self._draining.set()
         get_metrics().set_gauge("repro_http_draining", 1)
-
-    def _has_video(self, video_id: str) -> bool:
-        epochs = getattr(self.gateway, "current_epochs", None)
-        if epochs is not None:
-            return any(video_id in epoch.series for epoch in epochs)
-        return video_id in self.gateway.current_epoch.series
-
-    def _video_ids(self) -> list[str]:
-        epochs = getattr(self.gateway, "current_epochs", None)
-        if epochs is not None:
-            merged: list[str] = []
-            for epoch in epochs:
-                merged.extend(epoch.video_ids)
-            return sorted(merged)
-        return list(self.gateway.current_epoch.video_ids)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -449,7 +401,7 @@ class RecommendService:
         return 200, {}, dump_body(metrics.snapshot())
 
     def _handle_videos(self, params):
-        ids = self._video_ids()
+        ids = self.gateway.video_ids()
         limit = params.get("limit")
         if limit is not None:
             limit = int(limit)
@@ -492,10 +444,10 @@ class RecommendService:
         metrics.inc("repro_http_cache_miss_total")
         metrics.set_gauge("repro_http_cache_invalidate_total", self.cache.invalidations)
         metrics.set_gauge("repro_http_cache_stale_total", self.cache.stale_rejections)
-        if not self._has_video(video_id):
+        if not self.gateway.has_video(video_id):
             raise KeyError(f"unknown video {video_id!r}")
         result = self.gateway.recommend(video_id, top_k, deadline=deadline)
-        epoch_key = self._result_epoch_key(result)
+        epoch_key = result.epoch_key
         body = recommendation_body(
             video_id,
             self.algorithm,
@@ -529,7 +481,7 @@ class RecommendService:
         except (UnicodeDecodeError, json.JSONDecodeError):
             raise ValueError("request body is not valid JSON") from None
         record = validate_interaction(doc)
-        if not self._has_video(record["video_id"]):
+        if not self.gateway.has_video(record["video_id"]):
             raise KeyError(f"unknown video {record['video_id']!r}")
         if self.guard is not None and self.guard.state_of(record["user_id"]) == (
             "confirmed"

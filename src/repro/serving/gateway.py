@@ -1,27 +1,34 @@
 """The concurrent serving gateway: one writer, many lock-free readers.
 
-:class:`ServingGateway` fronts a :class:`~repro.core.pipeline.LiveCommunityIndex`
-and gives every query an immutable epoch view while mutations stream in:
+Two layers, shared by both serving fronts:
 
-* **writes** (`ingest_video` / `retire_video` / `apply_comments` /
-  `advance_watermark`) are serialized under one writer lock; each
-  mutation publishes a fresh :class:`~repro.serving.epoch.CommunityEpoch`
-  (copy-on-write snapshot, O(videos));
-* **reads** pin the current epoch and scan it without locks.  Admission
-  control bounds concurrency: beyond ``max_concurrency`` in-flight
-  queries, up to ``queue_depth`` requests wait (no longer than
+* :class:`EpochServer` — one index's epoch lifecycle, social-path
+  circuit breaker and fault plan.  Each mutation publishes a fresh
+  :class:`~repro.serving.epoch.CommunityEpoch` (copy-on-write snapshot,
+  O(videos)); a query on a pinned epoch runs the **social path** —
+  repeated failures (``FaultPlan``-injected at the registered
+  ``serve.social_scores`` point) trip the breaker open, open requests
+  serve content-only rankings via ω-renormalisation flagged
+  ``degraded``, and half-open probes close it once the dependency
+  recovers; transient fault classes are retried with seeded jittered
+  exponential backoff before they count as breaker failures.
+* :class:`GatewayCore` — what a front does over its epoch servers.
+  **Writes** (`ingest_video` / `retire_video` / `apply_comments` /
+  `remove_comments` / `advance_watermark`) are serialized under one
+  writer lock, batched by ``mutations()`` and paced by the publish
+  governor.  **Reads** pin the current view and scan it without locks.
+  Admission control bounds concurrency: beyond ``max_concurrency``
+  in-flight queries, up to ``queue_depth`` requests wait (no longer than
   ``queue_timeout`` or their own deadline); everything else is **shed**
-  with a typed :class:`~repro.errors.OverloadedError`;
-* each request carries a **deadline** that threads into the
-  recommender's chunked candidate scan — an expired deadline returns the
-  best-effort prefix flagged ``partial`` instead of blowing the budget;
-* the **social path** is guarded by a circuit breaker: repeated
-  failures (``FaultPlan``-injected at the registered
-  ``serve.social_scores`` point) trip it open, open requests serve
-  content-only rankings via ω-renormalisation flagged ``degraded``, and
-  half-open probes close it once the dependency recovers.  Transient
-  fault classes are retried with seeded jittered exponential backoff
-  before they count as breaker failures.
+  with a typed :class:`~repro.errors.OverloadedError`.  Each request
+  carries a **deadline** that threads into the recommender's scan — an
+  expired deadline returns the best-effort prefix flagged ``partial``
+  instead of blowing the budget.  Clean results are memoized per view,
+  and duplicate concurrent queries can coalesce onto one scan.
+
+:class:`ServingGateway` is the core over one epoch server (itself);
+:class:`~repro.sharding.ShardedGateway` is the core over S shard servers
+whose view is an epoch vector.
 
 Everything is instrumented into the process-wide
 :func:`repro.obs.get_metrics` registry under ``repro_serving_*`` names
@@ -53,7 +60,9 @@ from repro.testing.faults import (
 )
 
 __all__ = [
+    "EpochServer",
     "GatewayConfig",
+    "GatewayCore",
     "ServingGateway",
     "SERVE_SOCIAL_POINT",
     "SERVE_PUBLISH_POINT",
@@ -77,7 +86,7 @@ SERVE_PUBLISH_POINT = register_crash_point(
 
 @dataclass(frozen=True)
 class GatewayConfig:
-    """Serving knobs of :class:`ServingGateway`.
+    """Serving knobs of both gateway fronts and their epoch servers.
 
     Attributes
     ----------
@@ -149,10 +158,10 @@ class GatewayConfig:
 class _QueryMemo:
     """Bounded LRU memo of fully-served query results, epoch-keyed.
 
-    Keys are ``(epoch_id, query_id, top_k, omega_served, deadline_class)``;
+    Keys are ``(epoch_key, query_id, top_k, omega_served, deadline_class)``;
     values are finished :class:`Recommendations`.  Only *clean* results
     belong here — the gateway never inserts partial or degraded rankings,
-    and :meth:`invalidate` drops everything at each epoch publication, so
+    and :meth:`invalidate` drops everything at each view publication, so
     a hit is always the exact answer the scan would recompute.  All
     operations take one small lock; a hit is a dict move-to-end, which is
     what makes repeated heavy-hitter queries O(1).
@@ -215,11 +224,11 @@ class _QueryMemo:
 class _AdmissionGate:
     """Condition-variable admission control: bounded concurrency + queue.
 
-    Factored out of the gateway so the sharded gateway reuses one global
-    gate over its whole scatter (admission is per *request*, not per
-    shard).  Beyond *max_concurrency* in-flight requests, up to
-    *queue_depth* wait (no longer than *queue_timeout* or their own
-    deadline); everything else is shed with
+    One gate per front: a sharded gateway admits each request once over
+    its whole scatter (admission is per *request*, not per shard).
+    Beyond *max_concurrency* in-flight requests, up to *queue_depth*
+    wait (no longer than *queue_timeout* or their own deadline);
+    everything else is shed with
     :class:`~repro.errors.OverloadedError`.
     """
 
@@ -344,29 +353,16 @@ class _AdmissionGate:
                 self._cond.notify()
 
 
-class ServingGateway:
-    """Thread-safe serving facade over a live community index.
+class EpochServer:
+    """One index's epoch lifecycle, social-path breaker and fault plan.
 
-    Parameters
-    ----------
-    index:
-        The write master (a :class:`~repro.core.pipeline.CommunityIndex`
-        or live subclass).  The gateway owns its mutation path — apply
-        writes through the gateway, never directly, while serving.
-    omega / social_mode / content_measure / engine:
-        Recommender configuration of the served rankings (defaults follow
-        the index config, ``sar-h`` social mode).
-    config:
-        The :class:`GatewayConfig` serving knobs.
-    faults:
-        Optional :class:`~repro.testing.faults.FaultPlan` threaded into
-        the registered serving points (chaos tests arm failures here).
-    breaker_clock:
-        Clock of the circuit breaker only (injectable for deterministic
-        state-machine tests); deadlines and admission always use
-        ``time.monotonic`` because the scan's chunked cutoff does.
-    seed:
-        Seed of the retry-jitter RNG.
+    The unit that scans: it publishes copy-on-write epochs of its index
+    (each with the served recommender pair attached before it becomes
+    visible) and ranks a query on an epoch its front has pinned, guarding
+    the social dependency with a circuit breaker and retry/backoff.  It
+    owns no admission gate, memo, singleflight or publish governor —
+    those belong to the front (:class:`GatewayCore`) that decides when
+    to publish and which epoch a query pins.
     """
 
     def __init__(
@@ -392,7 +388,6 @@ class ServingGateway:
         # unbounded under production query traffic.
         self._fire_faults = faults is not None
         self._faults = faults if faults is not None else NO_FAULTS
-        self._write_lock = threading.RLock()
         self._epochs = EpochManager()
         self._breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_failure_threshold,
@@ -404,38 +399,9 @@ class ServingGateway:
         )
         self._rng = random.Random(seed)
         self._rng_lock = threading.Lock()
-        self._defense = self.config.defense or DefenseConfig()
-        self._gate = _AdmissionGate(
-            self.config.max_concurrency,
-            self.config.queue_depth,
-            self.config.queue_timeout,
-            hot_priority=self._defense.hot_priority,
-        )
-        self._memo = _QueryMemo(self.config.memo_capacity)
-        self._flights = SingleFlight() if self._defense.coalesce else None
-        self._governor = (
-            PublishGovernor(
-                self._defense.min_publish_interval,
-                self._defense.max_deferred_mutations,
-            )
-            if self._defense.min_publish_interval > 0
-            else None
-        )
-        self._publish_timer: threading.Timer | None = None
-        self._deferred_publish = False
-        # Batched-mutation bookkeeping: inside a mutations() block the
-        # per-mutation publish is deferred to the block's exit.  Both
-        # fields are only touched under the writer lock.
-        self._mutation_depth = 0
-        self._publish_pending = False
-        # The initial epoch is published fault-free: a plan arming the
-        # publish point targets *mutations*, not construction.
-        self._publish(fire=False)
-        if self._governor is not None:
-            self._governor.published()
 
     # ------------------------------------------------------------------
-    # Epoch publication (writer side)
+    # Epoch publication
     # ------------------------------------------------------------------
     def _build_recommenders(self, epoch: CommunityEpoch) -> None:
         if self._content_measure == "kj" and epoch.video_ids:
@@ -458,29 +424,20 @@ class ServingGateway:
             ),
         }
 
-    def _publish(self, fire: bool = True) -> CommunityEpoch:
+    def _publish_epoch(self, fire: bool = True) -> CommunityEpoch:
+        """Freeze the index into a fresh current epoch."""
         if fire and self._fire_faults:
             self._faults.fire(SERVE_PUBLISH_POINT)
         # The recommenders are attached in publish()'s prepare hook, i.e.
         # before the epoch becomes visible — a reader must never pin an
         # epoch that can't serve yet.
-        epoch = self._epochs.publish(self._master, prepare=self._build_recommenders)
-        metrics = get_metrics()
-        # Invalidate *after* the pointer swap: queries racing the publish
-        # either memoized against the previous epoch (dropped here) or pin
-        # the new epoch (whose results are valid to keep).
-        self._memo.invalidate(metrics)
-        metrics.set_gauge("repro_serving_epoch_id", epoch.epoch_id)
-        metrics.set_gauge("repro_serving_epochs_live", self._epochs.live_count)
-        metrics.set_gauge("repro_serving_epochs_published", self._epochs.published_total)
-        metrics.set_gauge("repro_serving_epoch_videos", len(epoch.video_ids))
-        return epoch
+        return self._epochs.publish(self._master, prepare=self._build_recommenders)
 
     @property
     def current_epoch(self) -> CommunityEpoch:
-        """The epoch new queries pin."""
+        """The epoch this server published last."""
         epoch = self._epochs.current
-        assert epoch is not None  # published in __init__
+        assert epoch is not None  # published by the front's constructor
         return epoch
 
     @property
@@ -494,125 +451,7 @@ class ServingGateway:
         return self._breaker
 
     # ------------------------------------------------------------------
-    # Mutations (serialized; each publishes a fresh epoch)
-    # ------------------------------------------------------------------
-    def _maybe_publish(self) -> None:
-        """Publish now, or mark pending inside a :meth:`mutations` block.
-
-        With a :class:`~repro.defense.backpressure.PublishGovernor` armed
-        (``defense.min_publish_interval > 0``), a mutation landing inside
-        the minimum interval applies to the master immediately but defers
-        the publication; a one-shot timer flushes it when the interval
-        elapses, so a retire storm builds a bounded number of epochs and
-        the memo/response caches stop thrashing per mutation.
-        """
-        if self._mutation_depth:
-            self._publish_pending = True
-            return
-        if self._governor is not None and self._governor.should_defer():
-            self._deferred_publish = True
-            get_metrics().inc("repro_defense_deferred_publishes_total")
-            self._arm_publish_timer()
-            return
-        self._publish_governed()
-
-    def _publish_governed(self) -> None:
-        """Publish now; folds any deferred publication into this one."""
-        self._deferred_publish = False
-        self._publish()
-        if self._governor is not None:
-            self._governor.published()
-
-    def _arm_publish_timer(self) -> None:
-        """Arm the deferred-publication flush (under the writer lock)."""
-        if self._publish_timer is not None:
-            return
-        delay = max(self._governor.delay_remaining(), 1e-4)
-        timer = threading.Timer(delay, self._flush_deferred_publish)
-        timer.daemon = True
-        self._publish_timer = timer
-        timer.start()
-
-    def _flush_deferred_publish(self) -> None:
-        with self._write_lock:
-            self._publish_timer = None
-            if not self._deferred_publish or self._mutation_depth:
-                return
-            if self._governor.delay_remaining() > 0:
-                # A direct publication restarted the interval after this
-                # timer was armed; re-arm for the remainder.
-                self._arm_publish_timer()
-                return
-            self._publish_governed()
-
-    @contextmanager
-    def mutations(self):
-        """Batch several mutations into **one** epoch publication.
-
-        ``with gateway.mutations(): ...`` holds the writer lock for the
-        whole block and defers the per-mutation epoch publish to the
-        block's exit, so a bulk ingest of V videos builds one epoch
-        instead of V.  Readers keep serving the pre-block epoch until the
-        single publish lands — the same visibility model as one large
-        mutation.  Blocks nest (the outermost exit publishes); the
-        deferred publish also runs when the block exits via an exception,
-        since every mutation already applied to the master.
-        """
-        with self._write_lock:
-            self._mutation_depth += 1
-            try:
-                yield self
-            finally:
-                self._mutation_depth -= 1
-                if self._mutation_depth == 0 and self._publish_pending:
-                    self._publish_pending = False
-                    self._maybe_publish()
-
-    def ingest_video(self, clip_or_record, owner=None, users=()) -> str:
-        """Serialized :meth:`LiveCommunityIndex.ingest_video` + publish."""
-        with self._write_lock:
-            video_id = self._master.ingest_video(clip_or_record, owner, users)
-            self._maybe_publish()
-            return video_id
-
-    def retire_video(self, video_id: str) -> None:
-        """Serialized :meth:`LiveCommunityIndex.retire_video` + publish."""
-        with self._write_lock:
-            self._master.retire_video(video_id)
-            self._maybe_publish()
-
-    def apply_comments(self, comments, incremental: bool = False):
-        """Serialized :meth:`LiveCommunityIndex.apply_comments` + publish."""
-        with self._write_lock:
-            stats = self._master.apply_comments(comments, incremental=incremental)
-            self._maybe_publish()
-            return stats
-
-    def remove_comments(self, comments) -> int:
-        """Serialized spam revocation (un-apply memberships) + publish."""
-        with self._write_lock:
-            removed = self._master.remove_comments(comments)
-            self._maybe_publish()
-            return removed
-
-    def advance_watermark(self, month: int) -> int:
-        """Serialized watermark advance + publish."""
-        with self._write_lock:
-            month = self._master.advance_watermark(month)
-            self._maybe_publish()
-            return month
-
-    # ------------------------------------------------------------------
-    # Admission control
-    # ------------------------------------------------------------------
-    def _admit(self, deadline_at: float | None, metrics, hot: bool = False) -> None:
-        self._gate.admit(deadline_at, metrics, hot=hot)
-
-    def _release(self, metrics, service_seconds: float | None = None) -> None:
-        self._gate.release(metrics, service_seconds)
-
-    # ------------------------------------------------------------------
-    # Social path: breaker + retry/backoff
+    # Social path (breaker + retry/backoff) and the degrade block
     # ------------------------------------------------------------------
     def _on_breaker_transition(self, old: str, new: str) -> None:
         metrics = get_metrics()
@@ -659,6 +498,268 @@ class ServingGateway:
                 self._breaker.record_success()
                 return None
 
+    def _social_reason(self, epoch: CommunityEpoch, deadline_at, metrics) -> str | None:
+        """The social path's verdict for a query on *epoch* (``None`` =
+        serve fused); skipped when the ranking carries no social term."""
+        if self._omega > 0.0 and epoch.social_store.available:
+            return self._social_path(deadline_at, metrics)
+        return None
+
+    def _rank(
+        self, epoch, reason, query_id, top_k, deadline_at, trace, **guest
+    ) -> Recommendations:
+        """Scan *epoch*: the fused ranking, or — when *reason* says the
+        social path is down — the content-only one flagged ``degraded``.
+
+        *guest* carries a scattered query's owner-shard state through to
+        :meth:`~repro.core.recommender.FusionRecommender.recommend`.
+        """
+        recommender: FusionRecommender = epoch.serving_recommenders[
+            "full" if reason is None else "content"
+        ]
+        result = recommender.recommend(
+            query_id, top_k, trace=trace, deadline=deadline_at, **guest
+        )
+        if reason is not None:
+            result = Recommendations(
+                result,
+                degraded=True,
+                partial=result.partial,
+                reasons=(*result.reasons, reason),
+                scored=result.scored,
+                total=result.total,
+                scores=result.scores,
+            )
+        result.omega_served = self._omega if reason is None else 0.0
+        return result
+
+
+class GatewayCore:
+    """What both serving fronts do alike, over their epoch servers.
+
+    **Reads:** deadline defaulting, the hot-key peek, singleflight
+    coalescing, admission with the service-time EWMA behind
+    ``retry_after_ms``, the epoch-keyed memo, result annotation and the
+    query/degraded/partial counters.  **Writes:** the writer lock, the
+    five mutations, :meth:`mutations` batching, and the publish governor
+    with its one-shot flush timer.
+
+    A front keeps only its view of the index.  It sets ``_index`` (the
+    write target) and ``_servers`` (its :class:`EpochServer` s) through
+    :meth:`_init_core`, and implements :attr:`current_epochs` (the view
+    new queries pin, one epoch per server), ``_view_key`` (the view's
+    memo/cache key), ``_pin`` (pin one consistent view),
+    ``_publish_view`` (publish every server and make the result current)
+    and ``_serve_view`` (answer a query on a pinned view).
+    """
+
+    def _init_core(self, config: GatewayConfig, index, servers) -> None:
+        self.config = config
+        self._index = index
+        self._servers = tuple(servers)
+        self._defense = config.defense or DefenseConfig()
+        self._gate = _AdmissionGate(
+            config.max_concurrency,
+            config.queue_depth,
+            config.queue_timeout,
+            hot_priority=self._defense.hot_priority,
+        )
+        self._memo = _QueryMemo(config.memo_capacity)
+        self._flights = SingleFlight() if self._defense.coalesce else None
+        self._governor = (
+            PublishGovernor(
+                self._defense.min_publish_interval,
+                self._defense.max_deferred_mutations,
+            )
+            if self._defense.min_publish_interval > 0
+            else None
+        )
+        self._publish_timer: threading.Timer | None = None
+        self._deferred_publish = False
+        self._write_lock = threading.RLock()
+        # Batched-mutation bookkeeping: inside a mutations() block the
+        # per-mutation publish is deferred to the block's exit.  Both
+        # fields are only touched under the writer lock.
+        self._mutation_depth = 0
+        self._publish_pending = False
+        # The initial view is published fault-free: a plan arming the
+        # publish point targets *mutations*, not construction.
+        self._publish(fire=False)
+        if self._governor is not None:
+            self._governor.published()
+
+    # ------------------------------------------------------------------
+    # The view
+    # ------------------------------------------------------------------
+    @property
+    def epoch_key(self):
+        """Key of the view new queries pin (what ``result.epoch_key``
+        carries): an epoch id, or a tuple of them for an epoch vector."""
+        return self._view_key(self.current_epochs)
+
+    def has_video(self, video_id: str) -> bool:
+        """Whether the current view indexes *video_id*."""
+        return any(video_id in epoch.series for epoch in self.current_epochs)
+
+    def video_ids(self) -> list[str]:
+        """Every video of the current view, sorted."""
+        return sorted(vid for epoch in self.current_epochs for vid in epoch.video_ids)
+
+    def is_member(self, user: str, video: str) -> bool:
+        """Whether *user* is already in *video*'s live descriptor.
+
+        Descriptors replicate to every shard, so the first server's
+        index answers for the deployment.  The spam guard's membership
+        probe: advisory, a stale read only widens or narrows the
+        revocation set.
+        """
+        descriptor = self._servers[0]._master.social_store.descriptors.get(video)
+        return descriptor is not None and user in descriptor.users
+
+    def close(self) -> None:
+        """Release the front's resources (idempotent)."""
+
+    def _live_count(self) -> int:
+        return sum(server.epochs.live_count for server in self._servers)
+
+    def _unpin(self, view) -> None:
+        for server, epoch in zip(self._servers, view):
+            server.epochs.unpin(epoch)
+
+    # ------------------------------------------------------------------
+    # Publication (writer side)
+    # ------------------------------------------------------------------
+    def _publish(self, fire: bool = True) -> None:
+        """Publish a fresh view, drop the memo, report the deployment."""
+        self._publish_view(fire)
+        metrics = get_metrics()
+        # Invalidate *after* the view swap: queries racing the publish
+        # either memoized against the previous view (dropped here) or pin
+        # the new one (whose results are valid to keep).
+        self._memo.invalidate(metrics)
+        metrics.inc("repro_serving_publish_total")
+        view = self.current_epochs
+        metrics.set_gauge("repro_serving_epoch_id", max(e.epoch_id for e in view))
+        metrics.set_gauge(
+            "repro_serving_epoch_videos", sum(len(e.video_ids) for e in view)
+        )
+        metrics.set_gauge("repro_serving_epochs_live", self._live_count())
+        metrics.set_gauge(
+            "repro_serving_epochs_published",
+            sum(server.epochs.published_total for server in self._servers),
+        )
+
+    def _maybe_publish(self) -> None:
+        """Publish now, or mark pending inside a :meth:`mutations` block.
+
+        With a :class:`~repro.defense.backpressure.PublishGovernor` armed
+        (``defense.min_publish_interval > 0``), a mutation landing inside
+        the minimum interval applies to the index immediately but defers
+        the publication; a one-shot timer flushes it when the interval
+        elapses, so a retire storm builds a bounded number of views and
+        the memo/response caches stop thrashing per mutation.
+        """
+        if self._mutation_depth:
+            self._publish_pending = True
+            return
+        if self._governor is not None and self._governor.should_defer():
+            self._deferred_publish = True
+            get_metrics().inc("repro_defense_deferred_publishes_total")
+            self._arm_publish_timer()
+            return
+        self._publish_governed()
+
+    def _publish_governed(self) -> None:
+        """Publish now; folds any deferred publication into this one."""
+        self._deferred_publish = False
+        self._publish()
+        if self._governor is not None:
+            self._governor.published()
+
+    def _arm_publish_timer(self) -> None:
+        """Arm the deferred-publication flush (under the writer lock)."""
+        if self._publish_timer is not None:
+            return
+        delay = max(self._governor.delay_remaining(), 1e-4)
+        timer = threading.Timer(delay, self._flush_deferred_publish)
+        timer.daemon = True
+        self._publish_timer = timer
+        timer.start()
+
+    def _flush_deferred_publish(self) -> None:
+        with self._write_lock:
+            self._publish_timer = None
+            if not self._deferred_publish or self._mutation_depth:
+                return
+            if self._governor.delay_remaining() > 0:
+                # A direct publication restarted the interval after this
+                # timer was armed; re-arm for the remainder.
+                self._arm_publish_timer()
+                return
+            self._publish_governed()
+
+    @contextmanager
+    def mutations(self):
+        """Batch several mutations into **one** view publication.
+
+        ``with gateway.mutations(): ...`` holds the writer lock for the
+        whole block and defers the per-mutation publish to the block's
+        exit, so a bulk ingest of V videos builds one view instead of V.
+        Readers keep serving the pre-block view until the single publish
+        lands — the same visibility model as one large mutation.  Blocks
+        nest (the outermost exit publishes); the deferred publish also
+        runs when the block exits via an exception, since every mutation
+        already applied to the index.
+        """
+        with self._write_lock:
+            self._mutation_depth += 1
+            try:
+                yield self
+            finally:
+                self._mutation_depth -= 1
+                if self._mutation_depth == 0 and self._publish_pending:
+                    self._publish_pending = False
+                    self._maybe_publish()
+
+    # ------------------------------------------------------------------
+    # Mutations (serialized; each publishes a fresh view)
+    # ------------------------------------------------------------------
+    def ingest_video(self, clip_or_record, owner=None, users=()) -> str:
+        """Serialized ``ingest_video`` on the index + publish."""
+        with self._write_lock:
+            video_id = self._index.ingest_video(
+                clip_or_record, owner=owner, users=users
+            )
+            self._maybe_publish()
+            return video_id
+
+    def retire_video(self, video_id: str) -> None:
+        """Serialized ``retire_video`` on the index + publish."""
+        with self._write_lock:
+            self._index.retire_video(video_id)
+            self._maybe_publish()
+
+    def apply_comments(self, comments, incremental: bool = False):
+        """Serialized ``apply_comments`` on the index + publish."""
+        with self._write_lock:
+            stats = self._index.apply_comments(comments, incremental=incremental)
+            self._maybe_publish()
+            return stats
+
+    def remove_comments(self, comments) -> int:
+        """Serialized spam revocation (un-apply memberships) + publish."""
+        with self._write_lock:
+            removed = self._index.remove_comments(comments)
+            self._maybe_publish()
+            return removed
+
+    def advance_watermark(self, month: int) -> int:
+        """Serialized watermark advance + publish."""
+        with self._write_lock:
+            month = self._index.advance_watermark(month)
+            self._maybe_publish()
+            return month
+
     # ------------------------------------------------------------------
     # Queries (reader side)
     # ------------------------------------------------------------------
@@ -669,161 +770,205 @@ class ServingGateway:
         deadline: float | None = None,
         trace=None,
     ) -> Recommendations:
-        """Top-K recommendations from an immutable epoch view.
+        """Top-K recommendations from one immutable view.
 
         *deadline* is in **seconds from now** (defaults to the config's
         ``default_deadline``); it bounds admission waiting *and* the
         candidate scan.  The result is a
         :class:`~repro.core.recommender.Recommendations` annotated with
-        ``epoch_id`` / ``epoch`` (the pinned view, kept alive as long as
-        the caller holds the result) and ``omega_served`` (0.0 when the
-        breaker dropped the social term).  Raises
-        :class:`~repro.errors.OverloadedError` when admission sheds the
-        request; everything else degrades instead of failing.
+        ``epochs`` (the pinned view, kept alive as long as the caller
+        holds the result), its ``epoch_key``, ``omega_served`` (0.0 when
+        a breaker dropped the social term) and ``shard_results``.
+        Raises :class:`~repro.errors.OverloadedError` when admission
+        sheds the request; everything else degrades instead of failing.
         """
         metrics = get_metrics()
         if deadline is None:
             deadline = self.config.default_deadline
         deadline_at = None if deadline is None else time.monotonic() + float(deadline)
+        # The deadline *class* (not the absolute monotonic instant) keys
+        # the memo, so repeated queries with the same budget share it.
+        deadline_class = "none" if deadline is None else f"{deadline:g}"
+        args = (query_id, top_k, deadline_class, deadline_at, trace, metrics)
         defense = self._defense
         hot = False
         flight_key = None
         if defense.coalesce or defense.hot_priority:
-            # Advisory pre-admission peek at the *current* epoch (no
+            # Advisory pre-admission peek at the *current* view (no
             # pin): the serving path recomputes everything against the
-            # epoch it actually pins, so a racing publish only costs the
+            # view it actually pins, so a racing publish only costs the
             # heuristic, never correctness.
-            epoch = self._epochs.current
-            deadline_class = "none" if deadline is None else f"{deadline:g}"
+            view_key = self.epoch_key
             if defense.hot_priority:
-                hot = self._memo.contains(
-                    (epoch.epoch_id, query_id, int(top_k), self._omega, deadline_class)
-                ) or self._memo.contains(
-                    (epoch.epoch_id, query_id, int(top_k), 0.0, deadline_class)
+                hot = any(
+                    self._memo.contains(
+                        (view_key, query_id, int(top_k), omega, deadline_class)
+                    )
+                    for omega in (self._omega, 0.0)
                 )
             if defense.coalesce:
-                flight_key = (
-                    epoch.epoch_id,
-                    query_id,
-                    int(top_k),
-                    deadline_class,
+                flight_key = (view_key, query_id, int(top_k), deadline_class)
+        if flight_key is None:
+            return self._serve(*args, hot=hot)
+        leader, flight = self._flights.begin(flight_key)
+        if not leader:
+            # Followers park *before* admission: the whole duplicate
+            # crowd consumes one queue slot (the leader's) and one scan.
+            # A leader error (e.g. OverloadedError) propagates to the
+            # flock — one shed sheds the crowd.
+            budget = defense.coalesce_wait
+            if deadline_at is not None:
+                budget = min(budget, max(0.001, deadline_at - time.monotonic()))
+            outcome = self._flights.wait(flight, budget)
+            if outcome is not TIMEOUT:
+                metrics.inc("repro_defense_coalesced_followers_total")
+                result = self._annotate(
+                    outcome.copy(), outcome.epochs, outcome.omega_served
                 )
-        if flight_key is not None:
-            leader, flight = self._flights.begin(flight_key)
-            if not leader:
-                # Followers park *before* admission: the whole duplicate
-                # crowd consumes one queue slot (the leader's) and one
-                # scan.  A leader error (e.g. OverloadedError) propagates
-                # to the flock — one shed sheds the crowd.
-                budget = defense.coalesce_wait
-                if deadline_at is not None:
-                    budget = min(budget, max(0.001, deadline_at - time.monotonic()))
-                outcome = self._flights.wait(flight, budget)
-                if outcome is not TIMEOUT:
-                    metrics.inc("repro_defense_coalesced_followers_total")
-                    result = outcome.copy()
-                    result.epoch_id = outcome.epoch_id
-                    result.epoch = outcome.epoch
-                    result.omega_served = outcome.omega_served
-                    result.coalesced = True
-                    metrics.inc("repro_serving_queries_total")
-                    return result
-                # Leader outlived this follower's budget: fall back to
-                # the full serving path (correctness never waits).
-                metrics.inc("repro_defense_coalesce_timeouts_total")
-                return self._serve(query_id, top_k, deadline, deadline_at, trace, metrics, hot)
-            metrics.inc("repro_defense_coalesce_leaders_total")
-            try:
-                result = self._serve(
-                    query_id, top_k, deadline, deadline_at, trace, metrics, hot
-                )
-            except BaseException as error:
-                self._flights.finish(flight_key, flight, error=error)
-                raise
-            self._flights.finish(flight_key, flight, result=result)
-            return result
-        return self._serve(query_id, top_k, deadline, deadline_at, trace, metrics, hot)
+                result.coalesced = True
+                metrics.inc("repro_serving_queries_total")
+                return result
+            # Leader outlived this follower's budget: fall back to the
+            # full serving path (correctness never waits).
+            metrics.inc("repro_defense_coalesce_timeouts_total")
+            return self._serve(*args, hot=hot)
+        metrics.inc("repro_defense_coalesce_leaders_total")
+        try:
+            result = self._serve(*args, hot=hot)
+        except BaseException as error:
+            self._flights.finish(flight_key, flight, error=error)
+            raise
+        self._flights.finish(flight_key, flight, result=result)
+        return result
 
     def _serve(
-        self,
-        query_id: str,
-        top_k: int,
-        deadline: float | None,
-        deadline_at: float | None,
-        trace,
-        metrics,
-        hot: bool = False,
+        self, query_id, top_k, deadline_class, deadline_at, trace, metrics, hot=False
     ) -> Recommendations:
         """The admitted serving path (see :meth:`recommend`)."""
-        self._admit(deadline_at, metrics, hot=hot)
+        self._gate.admit(deadline_at, metrics, hot=hot)
         admitted_at = time.monotonic()
         try:
             with metrics.time("repro_serving_latency_seconds"):
-                epoch = self._epochs.pin()
+                view = self._pin()
                 try:
+                    # Every server of a view published together, so the
+                    # first one's age is the view's.
                     metrics.set_gauge(
-                        "repro_serving_epoch_age_seconds", self._epochs.current_age()
+                        "repro_serving_epoch_age_seconds",
+                        self._servers[0].epochs.current_age(),
                     )
-                    reason = None
-                    if self._omega > 0.0 and epoch.social_store.available:
-                        reason = self._social_path(deadline_at, metrics)
-                    which = "content" if reason is not None else "full"
-                    omega_served = 0.0 if reason is not None else self._omega
-                    # Memo key: everything that determines the ranking on a
-                    # fixed epoch.  The deadline *class* (not the absolute
-                    # monotonic instant) keys it, so repeated queries with
-                    # the same budget share an entry.
-                    memo_key = (
-                        epoch.epoch_id,
-                        query_id,
-                        int(top_k),
-                        omega_served,
-                        "none" if deadline is None else f"{deadline:g}",
+                    result = self._serve_view(
+                        view, query_id, top_k, deadline_class, deadline_at,
+                        trace, metrics,
                     )
-                    cached = self._memo.get(memo_key)
-                    if cached is not None:
-                        metrics.inc("repro_serving_memo_hit_total")
-                        result = cached.copy()
-                        result.epoch_id = epoch.epoch_id
-                        result.epoch = epoch
-                        result.omega_served = omega_served
-                        metrics.inc("repro_serving_queries_total")
-                        return result
-                    metrics.inc("repro_serving_memo_miss_total")
-                    recommender: FusionRecommender = epoch.serving_recommenders[which]
-                    result = recommender.recommend(
-                        query_id, top_k, trace=trace, deadline=deadline_at
-                    )
-                    if reason is not None:
-                        result = Recommendations(
-                            result,
-                            degraded=True,
-                            partial=result.partial,
-                            reasons=(*result.reasons, reason),
-                            scored=result.scored,
-                            total=result.total,
-                            scores=getattr(result, "scores", None),
-                        )
-                    elif not result.partial and not result.degraded:
-                        # Only clean full-scan rankings are memoized: a
-                        # partial or degraded answer must never shadow the
-                        # real one on the next identical query.
-                        self._memo.put(memo_key, result.copy(), metrics)
-                    result.epoch_id = epoch.epoch_id
-                    result.epoch = epoch
-                    result.omega_served = omega_served
-                    metrics.inc("repro_serving_queries_total")
-                    if result.degraded:
-                        metrics.inc("repro_serving_degraded_total")
-                    if result.partial:
-                        metrics.inc("repro_serving_deadline_miss_total")
-                    return result
                 finally:
-                    self._epochs.unpin(epoch)
-                    metrics.set_gauge(
-                        "repro_serving_epochs_live", self._epochs.live_count
-                    )
+                    self._unpin(view)
+                    metrics.set_gauge("repro_serving_epochs_live", self._live_count())
+            metrics.inc("repro_serving_queries_total")
+            if result.degraded:
+                metrics.inc("repro_serving_degraded_total")
+            if result.partial:
+                metrics.inc("repro_serving_deadline_miss_total")
+            return result
         finally:
             # The fold into the retry_after_ms EWMA deliberately includes
             # memo hits — the hint models the *observed* service rate.
-            self._release(metrics, time.monotonic() - admitted_at)
+            self._gate.release(metrics, time.monotonic() - admitted_at)
+
+    def _memo_key(self, view, query_id, top_k, omega_served, deadline_class):
+        """Everything that determines the ranking on a fixed view."""
+        key = self._view_key(view)
+        return (key, query_id, int(top_k), omega_served, deadline_class)
+
+    def _memo_get(self, key: tuple, metrics) -> Recommendations | None:
+        """A private copy of the memoized result for *key*, or ``None``."""
+        cached = self._memo.get(key)
+        if cached is None:
+            metrics.inc("repro_serving_memo_miss_total")
+            return None
+        metrics.inc("repro_serving_memo_hit_total")
+        return cached.copy()
+
+    def _memo_put(self, key: tuple, result: Recommendations, metrics) -> None:
+        # Only clean full-scan rankings are memoized: a partial or
+        # degraded answer must never shadow the real one on the next
+        # identical query.
+        if not result.partial and not result.degraded:
+            self._memo.put(key, result.copy(), metrics)
+
+    def _annotate(self, result, view, omega_served: float) -> Recommendations:
+        """Stamp *result* with the view it was served from."""
+        result.epochs = view
+        result.epoch_key = self._view_key(view)
+        result.omega_served = omega_served
+        result.shard_results = None
+        return result
+
+
+class ServingGateway(GatewayCore, EpochServer):
+    """Thread-safe serving facade over a live community index.
+
+    The gateway core over a single :class:`EpochServer` — itself.  Its
+    view is one epoch: a query pins the current epoch, runs the social
+    path, consults the memo, and scans on a miss.  Results additionally
+    carry ``epoch`` / ``epoch_id`` (the one pinned epoch).
+
+    Parameters
+    ----------
+    index:
+        The write master (a :class:`~repro.core.pipeline.CommunityIndex`
+        or live subclass).  The gateway owns its mutation path — apply
+        writes through the gateway, never directly, while serving.
+    omega / social_mode / content_measure / engine:
+        Recommender configuration of the served rankings (defaults follow
+        the index config, ``sar-h`` social mode).
+    config:
+        The :class:`GatewayConfig` serving knobs.
+    faults:
+        Optional :class:`~repro.testing.faults.FaultPlan` threaded into
+        the registered serving points (chaos tests arm failures here).
+    breaker_clock:
+        Clock of the circuit breaker only (injectable for deterministic
+        state-machine tests); deadlines and admission always use
+        ``time.monotonic`` because the scan's chunked cutoff does.
+    seed:
+        Seed of the retry-jitter RNG.
+    """
+
+    def __init__(self, index, **kwargs) -> None:
+        EpochServer.__init__(self, index, **kwargs)
+        self._init_core(self.config, index, (self,))
+
+    @property
+    def current_epochs(self) -> tuple[CommunityEpoch]:
+        """The view new queries pin: the current epoch."""
+        return (self.current_epoch,)
+
+    @staticmethod
+    def _view_key(view) -> int:
+        return view[0].epoch_id
+
+    def _pin(self) -> tuple[CommunityEpoch]:
+        return (self._epochs.pin(),)
+
+    def _publish_view(self, fire: bool) -> None:
+        self._publish_epoch(fire)
+
+    def _serve_view(
+        self, view, query_id, top_k, deadline_class, deadline_at, trace, metrics
+    ) -> Recommendations:
+        epoch = view[0]
+        reason = self._social_reason(epoch, deadline_at, metrics)
+        omega_served = self._omega if reason is None else 0.0
+        key = self._memo_key(view, query_id, top_k, omega_served, deadline_class)
+        result = self._memo_get(key, metrics)
+        if result is None:
+            result = self._rank(epoch, reason, query_id, top_k, deadline_at, trace)
+            self._memo_put(key, result, metrics)
+        return self._annotate(result, view, omega_served)
+
+    def _annotate(self, result, view, omega_served: float) -> Recommendations:
+        result = super()._annotate(result, view, omega_served)
+        result.epoch = view[0]
+        result.epoch_id = result.epoch_key
+        return result

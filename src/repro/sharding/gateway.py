@@ -32,8 +32,12 @@ like the in-scan threshold).  The guest query is also packed once
 against the pinned layout and shared, since pack output depends only
 on the query and the pinned offset.
 
-Each shard keeps its own epoch lifecycle, circuit breaker and fault
-plan, so one failing shard degrades *its slice* of the ranking — the
+The deployment-wide serving machinery — admission, memo, coalescing,
+mutation batching and publish governance — is the shared
+:class:`~repro.serving.gateway.GatewayCore`; each shard is only an
+:class:`~repro.serving.gateway.EpochServer` with its own epoch
+lifecycle, circuit breaker and fault plan, so one failing shard
+degrades *its slice* of the ranking — the
 merged result comes back flagged ``degraded``/``partial`` with a
 per-shard reason instead of failing the query.  Cross-shard atomicity
 comes from the **epoch vector**: after publishing every shard the
@@ -48,45 +52,48 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from contextlib import contextmanager
 
 import numpy as np
 
 from repro.core.recommender import Recommendations
-from repro.defense.backpressure import PublishGovernor
-from repro.defense.coalesce import TIMEOUT, SingleFlight
-from repro.defense.config import DefenseConfig
 from repro.measures.content import _segment_integrals
 from repro.obs import get_metrics
+from repro.serving.breaker import STATE_CODES
 from repro.serving.epoch import CommunityEpoch
-from repro.serving.gateway import GatewayConfig, ServingGateway, _AdmissionGate, _QueryMemo
+from repro.serving.gateway import EpochServer, GatewayConfig, GatewayCore
 from repro.sharding.shard import ShardedIndex
 
 __all__ = ["ShardServingGateway", "ShardedGateway"]
 
 
-class ShardServingGateway(ServingGateway):
-    """One shard's serving gateway: epoch lifecycle, breaker, fault plan.
+class ShardServingGateway(EpochServer):
+    """One shard's epoch server: epoch lifecycle, breaker, fault plan.
 
-    Inherits the full single-index behaviour (a shard can be queried
-    directly) and adds :meth:`scatter_recommend` — the coordinator-facing
-    entry that skips admission, memoization and pinning (all global at
-    the sharded level) and accepts the owner shard's guest query state.
+    It owns no admission gate, memo, singleflight or publish governor —
+    those are the deployment's, in :class:`ShardedGateway`, which
+    publishes every shard together, pins the shards' epochs into one
+    vector and calls :meth:`scatter_recommend` for each shard's slice of
+    a query.  Its epoch and breaker state are reported under
+    ``repro_shard_*{shard=}``.
     """
 
     def __init__(self, shard, shard_id: int, **kwargs) -> None:
         self.shard_id = int(shard_id)
         super().__init__(shard, **kwargs)
 
-    def _publish(self, fire: bool = True) -> CommunityEpoch:
-        epoch = super()._publish(fire=fire)
+    def _publish_epoch(self, fire: bool = True) -> CommunityEpoch:
+        epoch = super()._publish_epoch(fire=fire)
         metrics = get_metrics()
         label = str(self.shard_id)
         metrics.set_gauge("repro_shard_epoch_id", epoch.epoch_id, shard=label)
-        metrics.set_gauge(
-            "repro_shard_videos", len(epoch.video_ids), shard=label
-        )
+        metrics.set_gauge("repro_shard_videos", len(epoch.video_ids), shard=label)
         return epoch
+
+    def _on_breaker_transition(self, old: str, new: str) -> None:
+        metrics = get_metrics()
+        label = str(self.shard_id)
+        metrics.inc("repro_shard_breaker_transitions_total", shard=label, to=new)
+        metrics.set_gauge("repro_shard_breaker_state", STATE_CODES[new], shard=label)
 
     def scatter_recommend(
         self,
@@ -118,129 +125,75 @@ class ShardServingGateway(ServingGateway):
         candidates = len(epoch.series) - (1 if query_id in epoch.series else 0)
         if candidates <= 0:
             result = Recommendations(scores=[])
+            result.omega_served = self._omega
         else:
-            reason = None
-            if self._omega > 0.0 and epoch.social_store.available:
-                reason = self._social_path(deadline_at, metrics)
-            which = "content" if reason is not None else "full"
-            omega_served = 0.0 if reason is not None else self._omega
-            recommender = epoch.serving_recommenders[which]
-            result = recommender.recommend(
+            reason = self._social_reason(epoch, deadline_at, metrics)
+            result = self._rank(
+                epoch,
+                reason,
                 query_id,
                 top_k,
-                trace=trace,
-                deadline=deadline_at,
+                deadline_at,
+                trace,
                 query_series=query_series,
                 query_vector=query_vector,
                 query_pack=query_pack,
                 initial_threshold=initial_threshold,
             )
-            if reason is not None:
-                result = Recommendations(
-                    result,
-                    degraded=True,
-                    partial=result.partial,
-                    reasons=(*result.reasons, reason),
-                    scored=result.scored,
-                    total=result.total,
-                    scores=getattr(result, "scores", None),
-                )
-            result.omega_served = omega_served
         result.epoch_id = epoch.epoch_id
         result.epoch = epoch
         result.shard_id = self.shard_id
-        if not hasattr(result, "omega_served"):
-            result.omega_served = self._omega
         return result
 
 
-class ShardedGateway:
+class ShardedGateway(GatewayCore):
     """Scatter-gather serving facade over a :class:`ShardedIndex`.
 
-    Parameters mirror :class:`~repro.serving.gateway.ServingGateway`;
+    Parameters mirror :class:`~repro.serving.gateway.ServingGateway`
+    (the recommender and breaker ones apply to every shard server);
     *faults* may be one :class:`~repro.testing.faults.FaultPlan` shared
     by every shard or a per-shard list (``None`` entries allowed), which
     is how the chaos suite aims a fault burst at a single shard.
 
-    Mutations are serialized under one writer lock, fan out through the
-    :class:`ShardedIndex` (owner routing + social replication), re-pin
-    the global bank layout, republish **every** shard's epoch and swap
-    the epoch vector — one cross-shard-consistent view per mutation (or
-    per :meth:`mutations` block).  Queries admit through one global
-    gate, pin the vector, scatter, and merge deterministically.
+    The gateway core over S shard servers.  Mutations fan out through
+    the :class:`ShardedIndex` (owner routing + social replication); a
+    publication re-pins the global bank layout, republishes **every**
+    shard's epoch and swaps the epoch vector — one cross-shard-consistent
+    view per mutation (or per :meth:`mutations` block).  Queries admit
+    through the one gate, pin the vector, scatter, and merge
+    deterministically; results additionally carry ``shard_results``.
     """
 
     def __init__(
         self,
         sharded: ShardedIndex,
-        omega: float | None = None,
-        social_mode: str = "sar-h",
-        content_measure: str = "kj",
-        engine: str | None = None,
         config: GatewayConfig | None = None,
         faults=None,
-        breaker_clock=time.monotonic,
         seed: int = 0,
+        **kwargs,
     ) -> None:
         self.sharded = sharded
-        self.config = config or GatewayConfig()
-        self._social_mode = social_mode
+        config = config or GatewayConfig()
         plans = self._per_shard_plans(faults, sharded.num_shards)
-        # Pin before the per-shard gateways exist: their constructors
-        # publish epoch 0, which must already freeze the global layout.
-        sharded.pin_layout()
-        self._gateways = [
+        servers = [
             ShardServingGateway(
                 shard,
                 shard.shard_id,
-                omega=omega,
-                social_mode=social_mode,
-                content_measure=content_measure,
-                engine=engine,
-                config=self.config,
+                config=config,
                 faults=plans[shard.shard_id],
-                breaker_clock=breaker_clock,
                 seed=seed + shard.shard_id,
+                **kwargs,
             )
             for shard in sharded.shards
         ]
-        self._omega = self._gateways[0]._omega
-        self._write_lock = threading.RLock()
-        self._mutation_depth = 0
-        self._publish_pending = False
+        self._omega = servers[0]._omega
+        self._social_mode = servers[0]._social_mode
         self._vector_lock = threading.Lock()
-        self._defense = self.config.defense or DefenseConfig()
-        self._gate = _AdmissionGate(
-            self.config.max_concurrency,
-            self.config.queue_depth,
-            self.config.queue_timeout,
-            hot_priority=self._defense.hot_priority,
-        )
-        self._memo = _QueryMemo(self.config.memo_capacity)
-        self._flights = SingleFlight() if self._defense.coalesce else None
-        self._governor = (
-            PublishGovernor(
-                self._defense.min_publish_interval,
-                self._defense.max_deferred_mutations,
-            )
-            if self._defense.min_publish_interval > 0
-            else None
-        )
-        self._publish_timer: threading.Timer | None = None
-        self._deferred_publish = False
+        self._epoch_vector: tuple[CommunityEpoch, ...] = ()
         self._pool = ThreadPoolExecutor(
             max_workers=sharded.num_shards, thread_name_prefix="shard-scatter"
         )
-        # The vector itself holds one reader pin per epoch, so an epoch
-        # referenced by the vector can never retire out from under a
-        # query that read the vector but has not pinned yet.
-        vector = tuple(gw.current_epoch for gw in self._gateways)
-        for gw, epoch in zip(self._gateways, vector):
-            pinned = gw.epochs.pin_specific(epoch)
-            assert pinned  # the constructor's epoch 0 is current
-        self._epoch_vector = vector
-        if self._governor is not None:
-            self._governor.published()
+        self._init_core(config, sharded, servers)
 
     @staticmethod
     def _per_shard_plans(faults, num_shards: int) -> list:
@@ -256,16 +209,16 @@ class ShardedGateway:
         return [faults] * num_shards
 
     # ------------------------------------------------------------------
-    # Introspection
+    # The view: one epoch vector
     # ------------------------------------------------------------------
     @property
     def num_shards(self) -> int:
-        return len(self._gateways)
+        return len(self._servers)
 
     @property
     def gateways(self) -> list[ShardServingGateway]:
-        """The per-shard gateways (breaker/epoch introspection)."""
-        return list(self._gateways)
+        """The per-shard epoch servers (breaker/epoch introspection)."""
+        return list(self._servers)
 
     @property
     def current_epochs(self) -> tuple[CommunityEpoch, ...]:
@@ -273,140 +226,49 @@ class ShardedGateway:
         with self._vector_lock:
             return self._epoch_vector
 
+    @staticmethod
+    def _view_key(view) -> tuple[int, ...]:
+        return tuple(epoch.epoch_id for epoch in view)
+
     def close(self) -> None:
         """Shut the scatter thread pool down (idempotent)."""
         self._pool.shutdown(wait=True)
 
-    # ------------------------------------------------------------------
-    # Mutations (serialized; each swaps a fresh epoch vector)
-    # ------------------------------------------------------------------
-    def _republish(self) -> None:
+    def _publish_view(self, fire: bool) -> None:
+        # Pin before publishing: every shard's epoch must freeze the
+        # global layout.
         self.sharded.pin_layout()
-        fresh = []
-        for gw in self._gateways:
-            with gw._write_lock:
-                fresh.append(gw._publish())
-        for gw, epoch in zip(self._gateways, fresh):
-            pinned = gw.epochs.pin_specific(epoch)
+        fresh = tuple(server._publish_epoch(fire) for server in self._servers)
+        # The vector itself holds one reader pin per epoch, so an epoch
+        # referenced by the vector can never retire out from under a
+        # query that read the vector but has not pinned yet.
+        for server, epoch in zip(self._servers, fresh):
+            pinned = server.epochs.pin_specific(epoch)
             assert pinned  # just published, still current
         with self._vector_lock:
             stale = self._epoch_vector
-            self._epoch_vector = tuple(fresh)
-        for gw, epoch in zip(self._gateways, stale):
-            gw.epochs.unpin(epoch)
-        metrics = get_metrics()
-        self._memo.invalidate(metrics)
-        metrics.inc("repro_sharded_publish_total")
+            self._epoch_vector = fresh
+        self._unpin(stale)
 
-    def _maybe_republish(self) -> None:
-        """Republish now, defer into a block, or defer under the governor
-        (same backpressure model as :meth:`ServingGateway._maybe_publish`
-        — a storm of mutations builds a bounded number of epoch vectors)."""
-        if self._mutation_depth:
-            self._publish_pending = True
-            return
-        if self._governor is not None and self._governor.should_defer():
-            self._deferred_publish = True
-            get_metrics().inc("repro_defense_deferred_publishes_total")
-            self._arm_publish_timer()
-            return
-        self._republish_governed()
-
-    def _republish_governed(self) -> None:
-        self._deferred_publish = False
-        self._republish()
-        if self._governor is not None:
-            self._governor.published()
-
-    def _arm_publish_timer(self) -> None:
-        if self._publish_timer is not None:
-            return
-        delay = max(self._governor.delay_remaining(), 1e-4)
-        timer = threading.Timer(delay, self._flush_deferred_publish)
-        timer.daemon = True
-        self._publish_timer = timer
-        timer.start()
-
-    def _flush_deferred_publish(self) -> None:
-        with self._write_lock:
-            self._publish_timer = None
-            if not self._deferred_publish or self._mutation_depth:
-                return
-            if self._governor.delay_remaining() > 0:
-                self._arm_publish_timer()
-                return
-            self._republish_governed()
-
-    @contextmanager
-    def mutations(self):
-        """Batch mutations into **one** vector swap (see
-        :meth:`ServingGateway.mutations`)."""
-        with self._write_lock:
-            self._mutation_depth += 1
-            try:
-                yield self
-            finally:
-                self._mutation_depth -= 1
-                if self._mutation_depth == 0 and self._publish_pending:
-                    self._publish_pending = False
-                    self._maybe_republish()
-
-    def ingest_video(self, clip_or_record, owner=None, users=()) -> str:
-        with self._write_lock:
-            video_id = self.sharded.ingest_video(
-                clip_or_record, owner=owner, users=users
-            )
-            self._maybe_republish()
-            return video_id
-
-    def retire_video(self, video_id: str) -> None:
-        with self._write_lock:
-            self.sharded.retire_video(video_id)
-            self._maybe_republish()
-
-    def apply_comments(self, comments, incremental: bool = False):
-        with self._write_lock:
-            stats = self.sharded.apply_comments(comments, incremental=incremental)
-            self._maybe_republish()
-            return stats
-
-    def remove_comments(self, comments) -> int:
-        """Serialized spam revocation across every shard + republish."""
-        with self._write_lock:
-            removed = self.sharded.remove_comments(comments)
-            self._maybe_republish()
-            return removed
-
-    def advance_watermark(self, month: int) -> int:
-        with self._write_lock:
-            month = self.sharded.advance_watermark(month)
-            self._maybe_republish()
-            return month
-
-    # ------------------------------------------------------------------
-    # Queries (scatter + gather)
-    # ------------------------------------------------------------------
-    def _pin_vector(self) -> tuple[CommunityEpoch, ...]:
+    def _pin(self) -> tuple[CommunityEpoch, ...]:
         """Pin every epoch of one consistent vector (retrying swaps)."""
         while True:
             with self._vector_lock:
                 vector = self._epoch_vector
             pinned: list[CommunityEpoch] = []
-            for gw, epoch in zip(self._gateways, vector):
-                if not gw.epochs.pin_specific(epoch):
+            for server, epoch in zip(self._servers, vector):
+                if not server.epochs.pin_specific(epoch):
                     break
                 pinned.append(epoch)
             if len(pinned) == len(vector):
                 return vector
-            for gw, epoch in zip(self._gateways, pinned):
-                gw.epochs.unpin(epoch)
+            self._unpin(pinned)
             # A republish swapped the vector mid-pin; re-read and retry.
             time.sleep(0.0005)
 
-    def _unpin_vector(self, vector: tuple[CommunityEpoch, ...]) -> None:
-        for gw, epoch in zip(self._gateways, vector):
-            gw.epochs.unpin(epoch)
-
+    # ------------------------------------------------------------------
+    # Queries (scatter + gather)
+    # ------------------------------------------------------------------
     def _query_state(self, query_id: str, vector):
         """``(owner, series, sar_vector)`` of *query_id* in *vector*."""
         for owner, epoch in enumerate(vector):
@@ -433,12 +295,8 @@ class ShardedGateway:
                 vector_row = (matrix[row], int(sizes[row]))
         return owner, series, vector_row
 
-    def recommend(
-        self,
-        query_id: str,
-        top_k: int = 10,
-        deadline: float | None = None,
-        trace=None,
+    def _serve_view(
+        self, view, query_id, top_k, deadline_class, deadline_at, trace, metrics
     ) -> Recommendations:
         """The merged top-K over every shard's slice of the candidates.
 
@@ -448,105 +306,36 @@ class ShardedGateway:
         ``degraded``; both attach a per-shard reason and the remaining
         shards' slices still merge.  The per-shard raw results ride
         along as ``result.shard_results`` (``None`` for a shard that
-        produced nothing), which is what the chaos suite replays.
+        produced nothing, and the whole field ``None`` on a memo hit),
+        which is what the chaos suite replays.
         """
-        metrics = get_metrics()
-        if deadline is None:
-            deadline = self.config.default_deadline
-        deadline_at = None if deadline is None else time.monotonic() + float(deadline)
-        defense = self._defense
-        hot = False
-        flight_key = None
-        if defense.coalesce or defense.hot_priority:
-            # Advisory pre-admission peek at the current vector (no
-            # pin); see ServingGateway.recommend for the rationale.
-            with self._vector_lock:
-                vector = self._epoch_vector
-            epoch_ids = tuple(epoch.epoch_id for epoch in vector)
-            deadline_class = "none" if deadline is None else f"{deadline:g}"
-            if defense.hot_priority:
-                hot = self._memo.contains(
-                    (epoch_ids, query_id, int(top_k), deadline_class)
-                )
-            if defense.coalesce:
-                flight_key = (epoch_ids, query_id, int(top_k), deadline_class)
-        if flight_key is not None:
-            leader, flight = self._flights.begin(flight_key)
-            if not leader:
-                budget = defense.coalesce_wait
-                if deadline_at is not None:
-                    budget = min(budget, max(0.001, deadline_at - time.monotonic()))
-                outcome = self._flights.wait(flight, budget)
-                if outcome is not TIMEOUT:
-                    metrics.inc("repro_defense_coalesced_followers_total")
-                    result = outcome.copy()
-                    result.epoch_ids = outcome.epoch_ids
-                    result.epochs = outcome.epochs
-                    result.omega_served = outcome.omega_served
-                    result.shard_results = None
-                    result.coalesced = True
-                    metrics.inc("repro_sharded_queries_total")
-                    return result
-                metrics.inc("repro_defense_coalesce_timeouts_total")
-                return self._admitted_recommend(
-                    query_id, top_k, deadline, deadline_at, trace, metrics, hot
-                )
-            metrics.inc("repro_defense_coalesce_leaders_total")
-            try:
-                result = self._admitted_recommend(
-                    query_id, top_k, deadline, deadline_at, trace, metrics, hot
-                )
-            except BaseException as error:
-                self._flights.finish(flight_key, flight, error=error)
-                raise
-            self._flights.finish(flight_key, flight, result=result)
-            return result
-        return self._admitted_recommend(
-            query_id, top_k, deadline, deadline_at, trace, metrics, hot
+        # Only clean merges are memoized, and a clean merge served the
+        # full ω on every shard.
+        key = self._memo_key(view, query_id, top_k, self._omega, deadline_class)
+        result = self._memo_get(key, metrics)
+        if result is not None:
+            return self._annotate(result, view, self._omega)
+        result, shard_results = self._scatter(
+            view, query_id, top_k, deadline_at, trace, metrics
         )
+        self._memo_put(key, result, metrics)
+        omega_served = self._omega
+        if result.degraded:
+            omega_served = min(
+                (r.omega_served for r in shard_results if r is not None),
+                default=0.0,
+            )
+        self._annotate(result, view, omega_served)
+        result.shard_results = tuple(shard_results)
+        return result
 
-    def _admitted_recommend(
-        self, query_id, top_k, deadline, deadline_at, trace, metrics, hot=False
-    ) -> Recommendations:
-        self._gate.admit(deadline_at, metrics, hot=hot)
-        admitted_at = time.monotonic()
-        try:
-            with metrics.time("repro_sharded_latency_seconds"):
-                vector = self._pin_vector()
-                try:
-                    return self._scatter(
-                        vector, query_id, top_k, deadline, deadline_at, trace, metrics
-                    )
-                finally:
-                    self._unpin_vector(vector)
-        finally:
-            self._gate.release(metrics, time.monotonic() - admitted_at)
-
-    def _scatter(
-        self, vector, query_id, top_k, deadline, deadline_at, trace, metrics
-    ) -> Recommendations:
+    def _scatter(self, vector, query_id, top_k, deadline_at, trace, metrics):
+        """``(merged result, per-shard slices)`` of one query on *vector*."""
         owner, query_series, query_vector = self._query_state(query_id, vector)
-        memo_key = (
-            tuple(epoch.epoch_id for epoch in vector),
-            query_id,
-            int(top_k),
-            "none" if deadline is None else f"{deadline:g}",
-        )
-        cached = self._memo.get(memo_key)
-        if cached is not None:
-            metrics.inc("repro_sharded_memo_hit_total")
-            result = cached.copy()
-            result.epoch_ids = memo_key[0]
-            result.epochs = vector
-            result.omega_served = self._omega
-            result.shard_results = None
-            metrics.inc("repro_sharded_queries_total")
-            return result
-        metrics.inc("repro_sharded_memo_miss_total")
 
         def scatter_one(index: int, query_pack=None, initial_threshold=None):
-            gw, epoch = self._gateways[index], vector[index]
-            return gw.scatter_recommend(
+            server, epoch = self._servers[index], vector[index]
+            return server.scatter_recommend(
                 epoch,
                 query_id,
                 top_k,
@@ -607,7 +396,7 @@ class ShardedGateway:
                     failed.append(index)
                     shard_reasons.append(f"shard {index} failed ({error})")
                     metrics.inc(
-                        "repro_sharded_shard_failures_total", shard=str(index)
+                        "repro_serving_shard_failures_total", shard=str(index)
                     )
                 else:
                     slice_result = shard_results[index]
@@ -635,37 +424,19 @@ class ShardedGateway:
                         f"shard {index} missed the deadline; merged without it"
                     )
                     metrics.inc(
-                        "repro_sharded_shard_deadline_total", shard=str(index)
+                        "repro_serving_shard_deadline_total", shard=str(index)
                     )
                 except Exception as error:  # noqa: BLE001 - degrade, never fail
                     failed.append(index)
                     shard_reasons.append(f"shard {index} failed ({error})")
                     metrics.inc(
-                        "repro_sharded_shard_failures_total", shard=str(index)
+                        "repro_serving_shard_failures_total", shard=str(index)
                     )
 
         result = self._merge(
             vector, owner, shard_results, shard_reasons, missed, failed, top_k
         )
-        if not result.degraded and not result.partial:
-            self._memo.put(memo_key, result.copy(), metrics)
-        result.epoch_ids = memo_key[0]
-        result.epochs = vector
-        result.omega_served = (
-            self._omega
-            if not result.degraded
-            else min(
-                (r.omega_served for r in shard_results if r is not None),
-                default=0.0,
-            )
-        )
-        result.shard_results = tuple(shard_results)
-        metrics.inc("repro_sharded_queries_total")
-        if result.degraded:
-            metrics.inc("repro_sharded_degraded_total")
-        if result.partial:
-            metrics.inc("repro_sharded_deadline_miss_total")
-        return result
+        return result, shard_results
 
     def _merge(
         self, vector, owner, shard_results, shard_reasons, missed, failed, top_k

@@ -13,21 +13,26 @@ over a small generated community and hammers it from three sides at once:
   the gateway's ``serve.social_scores`` point, driving the retry path and
   tripping the circuit breaker into its open → half-open → closed cycle.
 
-Every query result carries the epoch it was served from (the reference
-keeps the frozen snapshot alive past retirement), so after the threads
+The fault schedule and the breakers' cooldowns run on a **logical
+clock** that advances with reader progress (one tick per resolved
+query), not on the wall clock: how much service a burst degrades is then
+a property of the seeded workload, not of how fast the machine runs.
+
+Every query result carries the epochs it was served from (the reference
+keeps the frozen snapshots alive past retirement), so after the threads
 drain the harness replays each query against a **serial oracle** — a
-fresh single-threaded recommender over the pinned epoch — and demands a
-bit-identical ranking.  Partial results are checked against the oracle of
-their scored candidate *prefix* (the chunked scan is prefix-deterministic:
-``scored`` is always chunk-aligned).  Any reader exception, writer
-exception or parity mismatch fails the soak; a failing run dumps its full
-seeded schedule as JSON into ``$CHAOS_ARTIFACT_DIR`` so CI can attach it
-and anyone can replay the exact interleaving pressure.
+fresh single-threaded recommender over each pinned epoch — and demands a
+bit-identical ranking.  A single-index result is verified as the
+one-slice case of a scattered one (see :func:`_verify`).  Any reader
+exception, writer exception or parity mismatch fails the soak; a failing
+run dumps its full seeded schedule as JSON into ``$CHAOS_ARTIFACT_DIR``
+so CI can attach it and anyone can replay the exact interleaving
+pressure.
 
 Everything is derived from one seed: thread schedules still interleave
 nondeterministically (that is the point of a soak), but the *workload* —
-who ingests what, which queries carry tight deadlines, when fault bursts
-arm — replays exactly.
+who ingests what, which queries carry tight deadlines, after how many
+queries fault bursts arm — replays exactly.
 
 Beyond the baseline chaos, ``scenario`` selects one of three seeded
 **adversarial** workloads (DESIGN §16), each paired with the defense
@@ -61,10 +66,12 @@ oracle — with the owner shard's guest-query payload — re-runs the
 deterministic ``(-score, id)`` merge over the recorded slices, and (for
 deadline-free queries, whose slices may be trimmed by the chained
 pruning threshold) demands the served merged ranking bit-match the
-merge of every present shard's full local oracle top-K.  Memoized results
-(``shard_results is None``) are counted, not replayed: the memo only
-stores clean results keyed by the exact epoch vector, so the record that
-populated the entry was itself verified.
+merge of every present shard's full local oracle top-K.  Sharded memo
+hits and coalesced followers carry no slices (``shard_results is
+None``) and are counted, not replayed: the memo only stores clean results
+keyed by the exact epoch vector, so the record that populated the entry
+was itself verified.  Single-index memo hits are replayed like any other
+query.
 """
 
 from __future__ import annotations
@@ -125,9 +132,10 @@ class SoakConfig:
     #: Every Nth query of each reader carries ``tight_deadline`` seconds.
     tight_deadline_every: int = 17
     tight_deadline: float = 1e-4
-    #: Seconds between armings of ``fault_burst`` transient social faults
-    #: (0 disables the fault schedule entirely).
-    fault_burst_every: float = 0.2
+    #: Logical seconds (see :data:`QUERY_TICK`) between armings of
+    #: ``fault_burst`` transient social faults (0 disables the fault
+    #: schedule entirely).
+    fault_burst_every: float = 0.4
     fault_burst: int = 8
     #: ``shards > 1`` soaks a :class:`~repro.sharding.ShardedGateway`
     #: instead of the single-index gateway (same writer/reader/fault
@@ -213,8 +221,8 @@ class SoakReport:
     queries_shed: int = 0
     queries_degraded: int = 0
     queries_partial: int = 0
-    #: Sharded soaks only: clean memo hits (no per-shard slices to
-    #: replay; the record that populated the memo entry was verified).
+    #: Sharded soaks only: clean memo hits and coalesced followers,
+    #: which carry no per-shard slices to replay.
     queries_memoized: int = 0
     writer_ops: int = 0
     epochs_published: int = 0
@@ -317,20 +325,20 @@ class _QueryRecord:
     reader: int
     query_id: str
     ids: list[str]
-    epoch: object
     omega_served: float
     scored: int
     total: int
     partial: bool
     degraded: bool
-    #: Sharded soaks: the per-shard slices (``None`` entries for shards
-    #: that missed/failed), or ``None`` for a memoized result.  Each
-    #: slice keeps its pinned shard epoch alive for replay.
-    shard_results: tuple | None = None
-    #: Sharded soaks: the epoch vector the query was served from (the
-    #: owner shard's epoch supplies the guest-query payload even when
-    #: that shard's slice is missing).
-    epochs: tuple | None = None
+    #: The served slices, one per shard (``None`` entries for shards
+    #: that missed/failed) — a single-index result is its own one slice
+    #: — or ``None`` for a sharded memo hit or coalesced follower.  Each
+    #: slice keeps its pinned epoch alive for replay.
+    shard_results: tuple | None
+    #: The epochs the query was served from (the owner shard's epoch
+    #: supplies the guest-query payload even when that shard's slice is
+    #: missing).
+    epochs: tuple
 
 
 def _writer_pools(
@@ -425,6 +433,7 @@ def _reader_loop(
     latencies: list[tuple[float, float]],
     lock: threading.Lock,
     t0: float,
+    clock: "_SoakClock",
 ) -> None:
     count = config.queries // config.readers
     if reader < config.queries % config.readers:
@@ -447,19 +456,20 @@ def _reader_loop(
                     f"reader {reader} {query_id!r}: {type(error).__name__}: {error}"
                 )
             continue
+        finally:
+            clock.advance()
         elapsed = time.monotonic() - started
         record = _QueryRecord(
             reader=reader,
             query_id=query_id,
             ids=list(result),
-            epoch=getattr(result, "epoch", None),
             omega_served=result.omega_served,
             scored=result.scored,
             total=result.total,
             partial=result.partial,
             degraded=result.degraded,
-            shard_results=getattr(result, "shard_results", None),
-            epochs=getattr(result, "epochs", None),
+            shard_results=result.shard_results if config.shards > 1 else (result,),
+            epochs=result.epochs,
         )
         with lock:
             report.queries_total += 1
@@ -473,25 +483,52 @@ def _reader_loop(
             time.sleep(config.reader_pause)
 
 
-def _fault_loop(
-    plans: list[FaultPlan], config: SoakConfig, stop: threading.Event
-) -> None:
-    """Arm periodic fault bursts; with several plans, rotate one per burst.
+#: Logical seconds the soak clock advances per resolved reader query.
+#: Breaker cooldowns and the fault-burst spacing are configured in
+#: seconds and read off this clock; one tick is roughly one query's
+#: wall time on a 2-core machine.
+QUERY_TICK = 1e-3
 
-    Rotation is the sharded failure mode under test: each burst degrades
+
+class _SoakClock:
+    """Logical soak time: one :data:`QUERY_TICK` per resolved reader query.
+
+    It is every breaker's clock, and it arms the fault schedule: each
+    ``fault_burst_every`` logical seconds one plan gets ``fault_burst``
+    transient social faults.  With several plans, bursts rotate one plan
+    per burst — the sharded failure mode under test: each burst degrades
     exactly *one* shard's social path, so the gateway must keep serving
     (degraded, with a per-shard reason) while the other shards stay
-    full-fidelity — and every shard's breaker gets exercised in turn.
+    full-fidelity, and every shard's breaker gets exercised in turn.
     """
-    if not config.fault_burst_every or not config.fault_burst:
-        return
-    burst = 0
-    while not stop.wait(config.fault_burst_every):
-        plans[burst % len(plans)].arm_failures(SERVE_SOCIAL_POINT, config.fault_burst)
-        burst += 1
-    # Recovery window: disarm so the breakers can close before the run ends.
-    for plan in plans:
-        plan.arm_failures(SERVE_SOCIAL_POINT, 0)
+
+    def __init__(self, plans: list[FaultPlan], config: SoakConfig) -> None:
+        self._plans = plans
+        self._burst = config.fault_burst
+        self._every = 0
+        if config.fault_burst_every and config.fault_burst:
+            self._every = max(1, round(config.fault_burst_every / QUERY_TICK))
+        self._ticks = 0
+        self._bursts = 0
+        self._lock = threading.Lock()
+
+    def __call__(self) -> float:
+        return self._ticks * QUERY_TICK
+
+    def advance(self, seconds: float = QUERY_TICK) -> None:
+        with self._lock:
+            self._ticks += max(1, round(seconds / QUERY_TICK))
+            if self._every and self._ticks >= (self._bursts + 1) * self._every:
+                plan = self._plans[self._bursts % len(self._plans)]
+                plan.arm_failures(SERVE_SOCIAL_POINT, self._burst)
+                self._bursts += 1
+
+    def stop_faults(self) -> None:
+        """Disarm the schedule so the breakers can close before the run ends."""
+        with self._lock:
+            self._every = 0
+            for plan in self._plans:
+                plan.arm_failures(SERVE_SOCIAL_POINT, 0)
 
 
 @dataclass
@@ -720,79 +757,37 @@ def _rank_overlap(before: dict[str, list[str]], after: dict[str, list[str]]) -> 
 
 
 def _verify(records: list[_QueryRecord], config: SoakConfig, report: SoakReport) -> None:
-    """Replay every query against a serial oracle on its pinned epoch.
+    """Replay every served query against serial oracles on its pinned epochs.
 
-    The oracle is a fresh single-threaded recommender over the frozen
-    epoch; a result must be bit-identical to ranking the components of
-    its scored candidate prefix.  Results are cached per
-    ``(epoch, omega, query, scored)`` — under a handful of base queries
-    and bounded epochs the cache turns 10k verifications into a few
-    hundred oracle evaluations.
-
-    Sharded records (``shard_results`` present) dispatch to
-    :func:`_verify_sharded`; memoized sharded records are counted and
-    skipped (their producing record was verified under the same vector).
+    Every record is checked as a scatter over its recorded slices; a
+    single-index result is the one-slice case (its own slice, on its one
+    epoch).  Oracles and oracle rankings are cached per shard, epoch, ω
+    and query — under a handful of base queries and bounded epochs the
+    cache turns 10k verifications into a few hundred oracle evaluations.
+    Sharded memo hits and coalesced followers carry no slices and are
+    counted, not replayed (the record that populated the memo entry was
+    verified under the same epoch vector).
     """
     oracles: dict[tuple, FusionRecommender] = {}
-    cache: dict[tuple, list[str]] = {}
+    cache: dict[tuple, object] = {}
     for record in records:
-        if record.shard_results is not None:
-            _verify_sharded(record, config, report, oracles, cache)
-            continue
-        if record.epoch is None:
-            # Sharded memo hit: the record that populated the entry was
-            # served (and verified) under the same epoch vector.
+        if record.shard_results is None:
             report.queries_memoized += 1
             continue
-        epoch = record.epoch
-        key = (epoch.epoch_id, record.omega_served, record.query_id, record.scored)
-        expected = cache.get(key)
-        if expected is None:
-            oracle = oracles.get(key[:2])
-            if oracle is None:
-                oracle = epoch.recommender(
-                    omega=record.omega_served,
-                    time_budget=None,
-                    social_mode=config.social_mode,
-                )
-                oracles[key[:2]] = oracle
-            candidates = [vid for vid in epoch.video_ids if vid != record.query_id]
-            prefix = candidates[: record.scored]
-            content, social = oracle._score_arrays(
-                record.query_id, prefix, record.omega_served
-            )
-            components = {
-                vid: (float(c), float(s))
-                for vid, c, s in zip(prefix, content, social)
-            }
-            expected = rank_components(components, record.omega_served, config.top_k)
-            cache[key] = expected
-        report.parity_checked += 1
-        if record.ids != expected:
-            report.parity_failures.append(
-                {
-                    "reader": record.reader,
-                    "query_id": record.query_id,
-                    "epoch_id": epoch.epoch_id,
-                    "omega_served": record.omega_served,
-                    "scored": record.scored,
-                    "total": record.total,
-                    "got": record.ids,
-                    "expected": expected,
-                }
-            )
+        _verify_record(record, config, report, oracles, cache)
 
 
-def _verify_sharded(
+def _verify_record(
     record: _QueryRecord,
     config: SoakConfig,
     report: SoakReport,
     oracles: dict,
     cache: dict,
 ) -> None:
-    """Replay one sharded query: slice fidelity + merged-ranking oracle.
+    """Replay one query: slice fidelity + merged-ranking oracle.
 
-    Three layers, all bitwise.  First, re-merging the recorded slices by
+    Three layers, all bitwise (with one slice, the "merge" is the
+    slice itself).  First, re-merging the recorded slices by
     ``(-score, id)`` must reproduce the served merged ranking.  Second,
     every recorded slice must carry exactly its shard oracle's fused
     scores for its ids, in ``(-score, id)`` order — queried as a guest
@@ -826,9 +821,11 @@ def _verify_sharded(
         )
 
     report.parity_checked += 1
-    slices = [r for r in record.shard_results if r is not None]
+    slices = [
+        (shard, r) for shard, r in enumerate(record.shard_results) if r is not None
+    ]
     entries: list[tuple[float, str]] = []
-    for r in slices:
+    for _, r in slices:
         scores = r.scores if r.scores is not None else []
         entries.extend(zip(scores, r))
     entries.sort(key=lambda entry: (-entry[0], entry[1]))
@@ -841,7 +838,7 @@ def _verify_sharded(
     owner_epoch = next(
         (
             epoch
-            for epoch in (record.epochs or ())
+            for epoch in record.epochs
             if record.query_id in epoch.series
         ),
         None,
@@ -858,9 +855,9 @@ def _verify_sharded(
                 matrix, sizes = owner_epoch.sketch_matrix()
                 query_vector = (matrix[row], int(sizes[row]))
 
-    def shard_components(r, ids: list[str]) -> dict:
+    def shard_components(shard: int, r, ids: list[str]) -> dict:
         """``{id: (content, social)}`` from *r*'s shard oracle."""
-        oracle_key = (r.shard_id, r.epoch.epoch_id, r.omega_served)
+        oracle_key = (shard, r.epoch.epoch_id, r.omega_served)
         oracle = oracles.get(oracle_key)
         if oracle is None:
             oracle = r.epoch.recommender(
@@ -882,15 +879,15 @@ def _verify_sharded(
 
     # Slice fidelity: exactly the oracle's fused scores for these ids,
     # ordered the way the merge expects.
-    for r in slices:
+    for shard, r in slices:
         ids = list(r)
         scores = list(r.scores) if r.scores is not None else []
         if len(scores) != len(ids):
-            fail(f"shard {r.shard_id} scores", scores, ids)
+            fail(f"shard {shard} scores", scores, ids)
             return
         key = (
             "slice",
-            r.shard_id,
+            shard,
             r.epoch.epoch_id,
             r.omega_served,
             record.query_id,
@@ -898,26 +895,26 @@ def _verify_sharded(
         )
         expected_scores = cache.get(key)
         if expected_scores is None:
-            components = shard_components(r, ids)
+            components = shard_components(shard, r, ids)
             expected_scores = [
                 fuse_fj(*components[vid], r.omega_served) for vid in ids
             ]
             cache[key] = expected_scores
         if scores != expected_scores:
-            fail(f"shard {r.shard_id} scores", scores, expected_scores)
+            fail(f"shard {shard} scores", scores, expected_scores)
             return
         ordered = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
         if ordered != list(range(len(ids))):
-            fail(f"shard {r.shard_id} order", ids, [ids[i] for i in ordered])
+            fail(f"shard {shard} order", ids, [ids[i] for i in ordered])
             return
 
     if record.partial:
         # Pooled (deadline) scatter: no threshold chaining — each slice
         # is its shard's oracle over the scored candidate prefix.
-        for r in slices:
+        for shard, r in slices:
             key = (
                 "prefix",
-                r.shard_id,
+                shard,
                 r.epoch.epoch_id,
                 r.omega_served,
                 record.query_id,
@@ -931,13 +928,15 @@ def _verify_sharded(
                 prefix = candidates[: r.scored]
                 if prefix:
                     expected = rank_components(
-                        shard_components(r, prefix), r.omega_served, config.top_k
+                        shard_components(shard, r, prefix),
+                        r.omega_served,
+                        config.top_k,
                     )
                 else:
                     expected = []
                 cache[key] = expected
             if list(r) != expected:
-                fail(f"shard {r.shard_id}", list(r), expected)
+                fail(f"shard {shard}", list(r), expected)
                 return
     else:
         # Deadline-free scatter: slices may be threshold-trimmed, but
@@ -945,10 +944,10 @@ def _verify_sharded(
         # merge of every present shard's FULL local oracle top-K must
         # reproduce the served merged ranking bit-identically.
         full_entries: list[tuple[float, str]] = []
-        for r in slices:
+        for shard, r in slices:
             key = (
                 "full",
-                r.shard_id,
+                shard,
                 r.epoch.epoch_id,
                 r.omega_served,
                 record.query_id,
@@ -960,7 +959,7 @@ def _verify_sharded(
                 ]
                 if candidates:
                     expected = rank_components_scored(
-                        shard_components(r, candidates),
+                        shard_components(shard, r, candidates),
                         r.omega_served,
                         config.top_k,
                     )
@@ -1061,39 +1060,26 @@ def run_soak(config: SoakConfig | None = None) -> SoakReport:
     gateway_config = config.gateway
     if config.defense is not None:
         gateway_config = replace(gateway_config, defense=config.defense)
-    guard: SpamGuard | None = None
-    if (
-        config.scenario == "spam_burst"
-        and config.defense is not None
-        and config.defense.quarantine
-    ):
-        master = index.shards[0] if sharded else index
-        store = master.social_store
-
-        def _membership(user: str, video: str) -> bool:
-            descriptor = store.descriptors.get(video)
-            return descriptor is not None and user in descriptor.users
-
-        guard = SpamGuard(config.defense, membership=_membership)
+    clock = _SoakClock(plans, config)
     metrics = MetricsRegistry()
     started = time.monotonic()
     with use_metrics(metrics):
-        if sharded:
-            gateway = ShardedGateway(
-                index,
-                config=gateway_config,
-                faults=plans,
-                seed=config.seed,
-                social_mode=config.social_mode,
-            )
-        else:
-            gateway = ServingGateway(
-                index,
-                config=gateway_config,
-                faults=plans[0],
-                seed=config.seed,
-                social_mode=config.social_mode,
-            )
+        front = ShardedGateway if sharded else ServingGateway
+        gateway = front(
+            index,
+            config=gateway_config,
+            faults=plans if sharded else plans[0],
+            breaker_clock=clock,
+            seed=config.seed,
+            social_mode=config.social_mode,
+        )
+        guard: SpamGuard | None = None
+        if (
+            config.scenario == "spam_burst"
+            and config.defense is not None
+            and config.defense.quarantine
+        ):
+            guard = SpamGuard(config.defense, membership=gateway.is_member)
         baseline_rank: dict[str, list[str]] = {}
         if config.scenario == "spam_burst":
             baseline_rank = {
@@ -1103,10 +1089,6 @@ def run_soak(config: SoakConfig | None = None) -> SoakReport:
         lock = threading.Lock()
         records: list[_QueryRecord] = []
         latencies: list[tuple[float, float]] = []
-        stop = threading.Event()
-        fault_thread = threading.Thread(
-            target=_fault_loop, args=(plans, config, stop), name="chaos-faults"
-        )
         # The spam scenario stands the regular writers down: with the
         # only mutations being (guarded) spam, the final-vs-baseline
         # rank correlation isolates exactly the spam's surviving trace.
@@ -1142,6 +1124,7 @@ def run_soak(config: SoakConfig | None = None) -> SoakReport:
                     latencies,
                     lock,
                     started,
+                    clock,
                 ),
                 name=f"chaos-reader-{i}",
             )
@@ -1203,15 +1186,13 @@ def run_soak(config: SoakConfig | None = None) -> SoakReport:
                     name="chaos-storm",
                 )
             ]
-        fault_thread.start()
         for thread in writer_threads + reader_threads + attack_threads:
             thread.start()
         for thread in reader_threads:
             thread.join()
         for thread in writer_threads + attack_threads:
             thread.join()
-        stop.set()
-        fault_thread.join()
+        clock.stop_faults()
         report.attack_ops_done = attack_state.ops
         # Snapshot serving metrics now: the breaker-recovery queries
         # below are post-soak bookkeeping, not soak traffic, and must
@@ -1219,14 +1200,15 @@ def run_soak(config: SoakConfig | None = None) -> SoakReport:
         report.metrics = metrics.snapshot()
         # Let every breaker recover (faults are disarmed) so the report
         # can assert the full trip -> open -> half-open -> closed cycle.
-        shard_gateways = gateway.gateways if sharded else [gateway]
+        servers = gateway.gateways if sharded else [gateway]
         deadline = time.monotonic() + 2.0
         while (
-            any(gw.breaker.state != "closed" for gw in shard_gateways)
+            any(server.breaker.state != "closed" for server in servers)
             and report.queries_total
             and time.monotonic() < deadline
         ):
-            time.sleep(config.gateway.breaker_cooldown)
+            # The breakers' cooldowns run on the soak clock: step it.
+            clock.advance(config.gateway.breaker_cooldown)
             try:
                 gateway.recommend(base_ids[0], top_k=config.top_k)
             except OverloadedError:  # pragma: no cover - drained by now
@@ -1249,18 +1231,17 @@ def run_soak(config: SoakConfig | None = None) -> SoakReport:
                         if guard.state_of(user) == "confirmed"
                     ),
                 }
-        if sharded:
-            gateway.close()
+        gateway.close()
     report.elapsed_seconds = time.monotonic() - started
-    report.epochs_published = sum(gw.epochs.published_total for gw in shard_gateways)
-    report.epochs_retired = sum(gw.epochs.retired_total for gw in shard_gateways)
-    report.epochs_live = sum(gw.epochs.live_count for gw in shard_gateways)
-    for gw in shard_gateways:
+    report.epochs_published = sum(gw.epochs.published_total for gw in servers)
+    report.epochs_retired = sum(gw.epochs.retired_total for gw in servers)
+    report.epochs_live = sum(gw.epochs.live_count for gw in servers)
+    for gw in servers:
         report.breaker_transitions.extend(gw.breaker.transitions)
     if sharded:
         report.shard_sizes = index.shard_sizes()
         report.shard_breaker_transitions = [
-            list(gw.breaker.transitions) for gw in shard_gateways
+            list(gw.breaker.transitions) for gw in servers
         ]
     if latencies:
         ordered = np.sort(np.asarray([seconds for _, seconds in latencies]))

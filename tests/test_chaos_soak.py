@@ -158,19 +158,19 @@ class TestShardedSoakInvariants:
         counters = sharded_report.metrics["counters"]
         gauges = sharded_report.metrics["gauges"]
         assert (
-            counters["repro_sharded_queries_total"]
+            counters["repro_serving_queries_total"]
             == sharded_report.queries_total
         )
         assert (
-            counters["repro_sharded_degraded_total"]
+            counters["repro_serving_degraded_total"]
             == sharded_report.queries_degraded
         )
         assert (
-            counters["repro_sharded_deadline_miss_total"]
+            counters["repro_serving_deadline_miss_total"]
             == sharded_report.queries_partial
         )
         assert (
-            counters["repro_sharded_memo_hit_total"]
+            counters["repro_serving_memo_hit_total"]
             == sharded_report.queries_memoized
         )
         for shard in range(self.SHARDS):

@@ -330,59 +330,6 @@ class TestShardedGatewayDefense:
         finally:
             defended.close()
 
-    def test_sharded_followers_coalesce_onto_one_scatter(self, sharded):
-        from repro.sharding import ShardedGateway
-
-        registry = MetricsRegistry()
-        with use_metrics(registry):
-            gateway = ShardedGateway(
-                sharded,
-                config=GatewayConfig(defense=DefenseConfig(coalesce=True)),
-            )
-            try:
-                query = sharded.video_ids[0]
-                entered, hold = threading.Event(), threading.Event()
-                original = gateway._admitted_recommend
-                wedged_once = []
-
-                def wedged(*args, **kwargs):
-                    if not wedged_once:
-                        wedged_once.append(True)
-                        entered.set()
-                        hold.wait(10.0)
-                    return original(*args, **kwargs)
-
-                gateway._admitted_recommend = wedged
-                parked = threading.Event()
-                original_wait = gateway._flights.wait
-
-                def wait(flight, timeout):
-                    parked.set()
-                    return original_wait(flight, timeout)
-
-                gateway._flights.wait = wait
-                results = {}
-                leader = threading.Thread(
-                    target=lambda: results.update(lead=gateway.recommend(query, 8))
-                )
-                leader.start()
-                assert entered.wait(5.0)
-                follower = threading.Thread(
-                    target=lambda: results.update(follow=gateway.recommend(query, 8))
-                )
-                follower.start()
-                assert parked.wait(5.0)
-                hold.set()
-                leader.join(5.0)
-                follower.join(5.0)
-            finally:
-                gateway.close()
-        assert list(results["follow"]) == list(results["lead"])
-        assert results["follow"].scores == results["lead"].scores
-        assert getattr(results["follow"], "coalesced", False) is True
-        counters = registry.snapshot()["counters"]
-        assert counters["repro_defense_coalesced_followers_total"] == 1
-
 
 # ----------------------------------------------------------------------
 # Hot-key priority admission

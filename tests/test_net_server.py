@@ -323,7 +323,7 @@ class _StubResult(list):
         super().__init__(ids)
         defaults = {
             "scores": [1.0] * len(ids),
-            "epoch_id": 0,
+            "epoch_key": 0,
             "omega_served": 0.7,
             "degraded": False,
             "partial": False,
@@ -339,16 +339,14 @@ class _StubResult(list):
 class _StubGateway:
     """Serves canned results; lets tests force partial/degraded/errors."""
 
+    epoch_key = 0
+
     def __init__(self, result=None, error=None):
         self.result = result
         self.error = error
 
-        class _Epoch:
-            epoch_id = 0
-            series = {"v1": None, "v2": None}
-            video_ids = ["v1", "v2"]
-
-        self.current_epoch = _Epoch()
+    def has_video(self, video_id):
+        return video_id in ("v1", "v2")
 
     def recommend(self, video_id, top_k, deadline=None):
         if self.error is not None:

@@ -368,33 +368,6 @@ def _queries_of(sharded, count: int) -> list[str]:
 
 
 class TestShardedMemo:
-    def test_repeat_query_hits_and_mutation_invalidates(self, workload, config):
-        registry = MetricsRegistry()
-        with use_metrics(registry):
-            sharded = ShardedIndex.build(workload.dataset, config, 2)
-            gateway = ShardedGateway(sharded, config=NO_DEADLINE)
-            try:
-                query = sharded.video_ids[0]
-                first = gateway.recommend(query, TOP_K)
-                second = gateway.recommend(query, TOP_K)
-                counters = registry.snapshot()["counters"]
-                assert counters.get("repro_sharded_memo_hit_total", 0) == 1
-                _assert_bitwise_equal(first, second, "memo hit")
-
-                victim = next(
-                    vid for vid in reversed(sharded.video_ids) if vid != query
-                )
-                gateway.retire_video(victim)
-                third = gateway.recommend(query, TOP_K)
-                counters = registry.snapshot()["counters"]
-                assert counters.get("repro_sharded_memo_miss_total", 0) == 2
-                assert (
-                    counters.get("repro_serving_memo_invalidate_total", 0) >= 1
-                )
-                assert victim not in list(third)
-            finally:
-                gateway.close()
-
     def test_per_shard_metrics_are_labelled(self, workload, config):
         registry = MetricsRegistry()
         with use_metrics(registry):
